@@ -153,11 +153,13 @@ studyd-race:
 	rm -rf .studyd-race
 
 # A short burst on each fuzz target; the invariants live next to the
-# targets (tdigest merge structure, hdratio classification ranges,
+# targets (tdigest merge structure, tdigest compaction permutation and
+# centroids vs the sort.Slice reference, hdratio classification ranges,
 # segment decode never panics on hostile bytes, ship frame decode never
 # panics on hostile streams).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
+	$(GO) test -run '^$$' -fuzz FuzzCompactionMatchesReference -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzHDRatioClassify -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/
 	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s ./internal/ship/
@@ -190,11 +192,11 @@ bench-segstore:
 bench-trace:
 	$(GO) test -run '^$$' -bench BenchmarkTraceOverhead -benchmem -count 5 ./internal/trace/
 
-# Batch-path aggregation vs the row oracle over the same seg corpus
-# (EXPERIMENTS.md and BENCH_colagg.json record samples/s and the
-# allocation delta).
+# Batch-path aggregation vs the row oracle over the same seg corpus,
+# plus the complete FromSegments study over it (EXPERIMENTS.md and
+# BENCH_colagg.json record samples/s and the allocation delta).
 bench-colagg:
-	$(GO) test -run '^$$' -bench 'BenchmarkColagg(Rows|Batches)$$' -benchmem -benchtime 10x -count 2 ./internal/study/
+	$(GO) test -run '^$$' -bench 'BenchmarkColagg(Rows|Batches|FullStudy)$$' -benchmem -benchtime 10x -count 2 ./internal/study/
 
 # One PoP's dataset shipped over loopback TCP into a fresh spool,
 # durable ack-log and manifest commits included (EXPERIMENTS.md records

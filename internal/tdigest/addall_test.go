@@ -18,15 +18,18 @@ func TestAddAllMatchesAddLoop(t *testing.T) {
 		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = r.Float64() * 100
-			if i%97 == 13 {
+			switch i % 97 {
+			case 13:
 				xs[i] = math.NaN() // AddAll must skip these like Add does
+			case 50:
+				xs[i] = math.Inf(1 - 2*(i%2)) // and these
 			}
 		}
 
 		one, bulk := New(100), New(100)
 		adds := 0
 		for _, x := range xs {
-			if !math.IsNaN(x) {
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
 				adds++
 			}
 			one.Add(x)

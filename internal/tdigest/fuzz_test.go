@@ -60,3 +60,40 @@ func FuzzTDigestMerge(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompactionMatchesReference builds (mean, weight) pairs from
+// arbitrary bytes and checks the compaction against the sort.Slice
+// reference it replaced: sortCentroids must leave every element, ties
+// included, where sort.Slice leaves it, and a digest fed the pairs must
+// hold bit-identical centroids to one folded by referenceProcess. Each
+// pair takes three bytes: a coarse and a fine signed mean byte and a
+// weight byte. The mode byte scales the coarse part, or with bit 3 set
+// keeps only four distinct means, so streams range from all ties to
+// mostly distinct.
+func FuzzCompactionMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 0, 1, 1, 0, 1}, uint8(0), uint8(0))
+	f.Add([]byte{5, 4, 3, 2, 1, 0, 255, 254, 253}, uint8(3), uint8(20))
+	f.Add([]byte{0x80, 0x7f, 0, 0x7f, 0x80, 9, 0, 0, 0, 0x80, 0x7f, 3}, uint8(12), uint8(255))
+	f.Fuzz(func(t *testing.T, raw []byte, mode, comp uint8) {
+		scale := math.Ldexp(1, int(mode%8)-4)
+		var means, weights []float64
+		for i := 0; i+2 < len(raw); i += 3 {
+			m := float64(int8(raw[i]))*scale + float64(int8(raw[i+1]))/256
+			if mode&8 != 0 {
+				m = float64(int8(raw[i]) % 4) // tie-heavy: four distinct means
+			}
+			means = append(means, m)
+			weights = append(weights, float64(raw[i+2]%8+1))
+		}
+		checkPermutation(t, "fuzz", means)
+
+		got, want := New(20+float64(comp)), New(20+float64(comp))
+		for i := range means {
+			got.AddWeighted(means[i], weights[i])
+			refAdd(want, means[i], weights[i])
+		}
+		got.Compact()
+		referenceProcess(want)
+		sameState(t, "fuzz", got, want)
+	})
+}

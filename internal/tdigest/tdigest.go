@@ -12,7 +12,8 @@ package tdigest
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // TDigest is a streaming quantile sketch. The zero value is not usable;
@@ -53,10 +54,12 @@ func New(compression float64) *TDigest {
 // Add inserts a value with weight 1.
 func (t *TDigest) Add(x float64) { t.AddWeighted(x, 1) }
 
-// AddWeighted inserts a value with the given weight. NaN values and
-// non-positive weights are ignored.
+// AddWeighted inserts a value with the given weight. Non-finite values
+// (NaN, ±Inf) and weights that are not finite and positive are
+// ignored: one infinity would turn every later quantile and the mean
+// into NaN or ±Inf.
 func (t *TDigest) AddWeighted(x, w float64) {
-	if math.IsNaN(x) || w <= 0 {
+	if !finite(x) || !(w > 0 && w <= math.MaxFloat64) {
 		return
 	}
 	t.bufMeans = append(t.bufMeans, x)
@@ -74,16 +77,22 @@ func (t *TDigest) AddWeighted(x, w float64) {
 }
 
 // AddAll inserts every value of xs with weight 1 and returns the
-// number inserted (NaN values are skipped, like Add). It is
+// number inserted (non-finite values are skipped, like Add). It is
 // state-identical to calling Add in a loop — values append to the same
 // buffer and the fold triggers at exactly the same points — just
 // without the per-call overhead, so digests fed by the columnar batch
 // path match digests fed row-at-a-time bit for bit.
 func (t *TDigest) AddAll(xs []float64) int {
 	limit := int(8 * t.compression)
+	// The buffer never holds more than limit points (the fold empties
+	// it in place), so one growth covers the whole call.
+	if grow := min(len(t.bufMeans)+len(xs), limit) - len(t.bufMeans); grow > 0 {
+		t.bufMeans = slices.Grow(t.bufMeans, grow)
+		t.bufWeights = slices.Grow(t.bufWeights, grow)
+	}
 	added := 0
 	for _, x := range xs {
-		if math.IsNaN(x) {
+		if !finite(x) {
 			continue
 		}
 		t.bufMeans = append(t.bufMeans, x)
@@ -123,8 +132,14 @@ func (t *TDigest) Merge(other *TDigest) {
 		return
 	}
 	other.process()
-	for i := range other.means {
-		t.AddWeighted(other.means[i], other.weights[i])
+	// A fold writes its centroids into t's own arrays, so in a
+	// self-merge the loop reads arrays its adds may fold into. It reads
+	// them through the slices taken here, and a fold rewrites only
+	// entries already read: it comes after 8δ adds and leaves fewer
+	// than 8δ centroids.
+	means, weights := other.means, other.weights
+	for i := range means {
+		t.AddWeighted(means[i], weights[i])
 	}
 	// Centroid means never reach the extremes, so the true min/max must
 	// carry over explicitly or the merged digest's tails collapse to the
@@ -155,32 +170,54 @@ func (t *TDigest) kInv(k float64) float64 {
 	return (math.Sin(k*2*math.Pi/t.compression) + 1) / 2
 }
 
-// process merges buffered points into the centroid set.
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// scratchPool holds the (mean, weight) scratch that process sorts.
+// Compaction runs on many goroutines at once (shard workers, the
+// overview fold, the analyses), and a scratch grows only to the
+// largest fold it has served.
+var scratchPool = sync.Pool{New: func() any { return new([]centroid) }}
+
+// process merges buffered points into the centroid set. The centroids
+// and the buffer are copied into one pooled pair slice and sorted by
+// mean with sortCentroids, whose permutation (ties included) is
+// sort.Slice's; the fold below is order-sensitive among equal means,
+// so that permutation is part of the digest's output. The merged
+// centroids are written back into the digest's own arrays, which the
+// copy has retired.
 func (t *TDigest) process() {
 	if len(t.bufMeans) == 0 {
 		return
 	}
-	means := append(t.means, t.bufMeans...)
-	weights := append(t.weights, t.bufWeights...)
+	scratch := scratchPool.Get().(*[]centroid)
+	pairs := (*scratch)[:0]
+	for i, m := range t.means {
+		pairs = append(pairs, centroid{m, t.weights[i]})
+	}
+	for i, m := range t.bufMeans {
+		pairs = append(pairs, centroid{m, t.bufWeights[i]})
+	}
 	t.bufMeans = t.bufMeans[:0]
 	t.bufWeights = t.bufWeights[:0]
 	total := t.total + t.bufTotal
 	t.bufTotal = 0
 
-	idx := make([]int, len(means))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return means[idx[a]] < means[idx[b]] })
+	sortCentroids(pairs)
 
-	outM := make([]float64, 0, int(t.compression)*2)
-	outW := make([]float64, 0, int(t.compression)*2)
+	outM, outW := t.means[:0], t.weights[:0]
+	if cap(outM) == 0 {
+		// A digest's first fold sizes its arrays to what it has seen:
+		// most per-cell digests never hold more than a few points.
+		size := min(len(pairs), int(t.compression)*2)
+		outM, outW = make([]float64, 0, size), make([]float64, 0, size)
+	}
 
 	soFar := 0.0
-	curM, curW := means[idx[0]], weights[idx[0]]
+	curM, curW := pairs[0].m, pairs[0].w
 	qLimit := t.kInv(t.k(0) + 1)
-	for _, i := range idx[1:] {
-		m, w := means[i], weights[i]
+	for _, c := range pairs[1:] {
+		m, w := c.m, c.w
 		projected := (soFar + curW + w) / total
 		if projected <= qLimit {
 			// Merge into the current centroid.
@@ -198,6 +235,8 @@ func (t *TDigest) process() {
 	outW = append(outW, curW)
 
 	t.means, t.weights, t.total = outM, outW, total
+	*scratch = pairs
+	scratchPool.Put(scratch)
 }
 
 // Quantile returns an estimate of the q-th quantile (q in [0,1]).

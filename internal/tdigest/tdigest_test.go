@@ -58,6 +58,46 @@ func TestIgnoresBadInput(t *testing.T) {
 	}
 }
 
+// One infinity used to poison a digest: ten finite values plus two
+// +Inf made Quantile(0.99) NaN and Mean +Inf, and AddWeighted(5, +Inf)
+// made the median and the mean NaN. Non-finite values and weights are
+// ignored like NaN, on AddWeighted and AddAll alike.
+func TestIgnoresNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	clean, dirty, bulk := New(100), New(100), New(100)
+	var xs []float64
+	for i := 1; i <= 10; i++ {
+		clean.Add(float64(i))
+		xs = append(xs, float64(i))
+		if i%4 == 0 {
+			xs = append(xs, inf, -inf, math.NaN())
+		}
+	}
+	for _, x := range xs {
+		dirty.Add(x)
+	}
+	for _, w := range []float64{inf, -inf, math.NaN(), 0, -1} {
+		dirty.AddWeighted(5, w)
+		bulk.AddWeighted(5, w)
+	}
+	if got := bulk.AddAll(xs); got != 10 {
+		t.Fatalf("AddAll inserted %d, want 10", got)
+	}
+	for name, d := range map[string]*TDigest{"Add": dirty, "AddAll": bulk} {
+		if d.Count() != 10 || d.Min() != 1 || d.Max() != 10 {
+			t.Fatalf("%s: count %v, bounds [%v, %v]; want 10, [1, 10]", name, d.Count(), d.Min(), d.Max())
+		}
+		for _, q := range []float64{0.5, 0.99} {
+			if got, want := d.Quantile(q), clean.Quantile(q); got != want {
+				t.Errorf("%s: Quantile(%v) = %v, want %v", name, q, got, want)
+			}
+		}
+		if got, want := d.Mean(), clean.Mean(); got != want {
+			t.Errorf("%s: Mean() = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestUniformAccuracy(t *testing.T) {
 	r := rng.New(1)
 	d := New(100)
